@@ -346,35 +346,36 @@ func BenchmarkAblationInstantiation(b *testing.B) {
 }
 
 // BenchmarkProfileCollection measures the overhead of gathering the
-// weighted call graph (§3.7.2 reports 15-50% for PIC-based profiling).
+// weighted call graph (§3.7.2 reports 15-50% for PIC-based profiling):
+// each program's Base training run on the default engine, with and
+// without a profile attached, as CollectProfile runs it.
 func BenchmarkProfileCollection(b *testing.B) {
-	bench, _ := programs.ByName("Typechecker")
-	p, err := driver.Load(bench.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := opt.Compile(p.Prog, opt.Options{Config: opt.Base})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, profiling := range []bool{false, true} {
-		profiling := profiling
-		name := "instrumentation=off"
-		if profiling {
-			name = "instrumentation=on"
+	for _, bench := range programs.Registry() {
+		p, err := driver.Load(bench.Source)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ro := driver.RunOptions{Overrides: bench.Train}
-				if profiling {
-					ro.Profile = profile.NewCallGraph(p.Prog)
-				}
-				if _, err := driver.Execute(c, ro); err != nil {
-					b.Fatal(err)
-				}
+		c, err := opt.Compile(p.Prog, opt.Options{Config: opt.Base})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, profiling := range []bool{false, true} {
+			name := bench.Name + "/instrumentation=off"
+			if profiling {
+				name = bench.Name + "/instrumentation=on"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ro := driver.RunOptions{Overrides: bench.Train, Mechanism: interp.MechPIC}
+					if profiling {
+						ro.Profile = profile.NewCallGraph(p.Prog)
+					}
+					if _, err := driver.Execute(c, ro); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -119,7 +119,8 @@ func (in *Interp) NoteInvoke(v *ir.Version, args []Value) {
 // access from every later entry through that proc.
 func (in *Interp) NoteInvokeKnown(v *ir.Version, args []Value) {
 	if in.Profile != nil && len(args) > 0 {
-		in.Profile.RecordEntry(v.Method, in.classesOf(args, make([]*hier.Class, 0, len(args))))
+		var buf [entryClassBuf]*hier.Class
+		in.Profile.RecordEntry(v.Method, in.classesOf(args, buf[:0]))
 	}
 	in.Counters.MethodEntries++
 	in.charge(CostMethodEntry)

@@ -253,7 +253,8 @@ func (in *Interp) invoke(v *ir.Version, args []Value, pos lang.Pos) Value {
 		fail("compile: %v", err)
 	}
 	if in.Profile != nil && len(args) > 0 {
-		in.Profile.RecordEntry(v.Method, in.classesOf(args, make([]*hier.Class, 0, len(args))))
+		var buf [entryClassBuf]*hier.Class
+		in.Profile.RecordEntry(v.Method, in.classesOf(args, buf[:0]))
 	}
 	if !in.invoked[v] {
 		in.invoked[v] = true
@@ -301,6 +302,11 @@ func (in *Interp) runBody(body ir.Node, fr *Frame, act *Activation) (result Valu
 	}()
 	return in.eval(body, fr, act)
 }
+
+// entryClassBuf sizes the stack buffer a profiled method entry computes
+// its argument classes into, so recording an entry does not allocate
+// for arities up to it (RecordEntry retains none of the slice).
+const entryClassBuf = 8
 
 // classesOf computes the runtime classes of a value slice.
 func (in *Interp) classesOf(vals []Value, buf []*hier.Class) []*hier.Class {

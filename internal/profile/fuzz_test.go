@@ -42,7 +42,7 @@ func FuzzProfile(f *testing.F) {
 		cg.Record(prog.Bodies[mf].Sites[0], mB, 3)
 		cg.Record(prog.Bodies[mf].Sites[1], mB, 7)
 		cg.RecordEntry(mA, []*hier.Class{prog.H.Classes()[0]})
-		cg.entries[mB] = &tupleSet{overflow: true}
+		cg.entries[mB.ID].overflow = true
 		data, err := cg.MarshalJSON()
 		if err != nil {
 			f.Fatal(err)

@@ -153,8 +153,7 @@ func (g *CallGraph) UnmarshalInto(data []byte) error {
 	if ff.Version != formatVersion {
 		return fmt.Errorf("profile: unsupported format version %d", ff.Version)
 	}
-	g.arcs = map[arcKey]*Arc{}
-	g.entries = map[*hier.Method]*tupleSet{}
+	g.reset()
 	methods := g.prog.H.Methods()
 	for _, fa := range ff.Arcs {
 		if fa.Site < 0 || fa.Site >= len(g.prog.Sites) {
@@ -166,7 +165,7 @@ func (g *CallGraph) UnmarshalInto(data []byte) error {
 		if fa.Weight < 0 {
 			return fmt.Errorf("profile: negative weight on site %d", fa.Site)
 		}
-		if a, ok := g.arcs[arcKey{fa.Site, fa.Callee}]; ok && a.Weight > math.MaxInt64-fa.Weight {
+		if a := g.find(fa.Site, fa.Callee); a != nil && a.Weight > math.MaxInt64-fa.Weight {
 			return fmt.Errorf("profile: weight overflow on duplicate arc %d->%d", fa.Site, fa.Callee)
 		}
 		g.Record(g.prog.Sites[fa.Site], methods[fa.Callee], fa.Weight)
@@ -177,11 +176,11 @@ func (g *CallGraph) UnmarshalInto(data []byte) error {
 			return fmt.Errorf("profile: entry method %d out of range", fe.Method)
 		}
 		m := methods[fe.Method]
-		if _, dup := g.entries[m]; dup {
+		if g.entries[m.ID].recorded() {
 			return fmt.Errorf("profile: duplicate entry for method %d", fe.Method)
 		}
 		if fe.Overflow {
-			g.entries[m] = &tupleSet{overflow: true}
+			g.entries[m.ID].overflow = true
 			continue
 		}
 		for _, ids := range fe.Tuples {

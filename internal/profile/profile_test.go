@@ -220,7 +220,7 @@ func TestEntriesRoundTrip(t *testing.T) {
 	cg := NewCallGraph(p)
 	cg.Record(p.Bodies[f].Sites[0], mA, 10)
 	cg.RecordEntry(mA, []*hier.Class{clsA})
-	cg.entries[mB] = &tupleSet{overflow: true}
+	cg.entries[mB.ID].overflow = true
 
 	data, err := cg.MarshalJSON()
 	if err != nil {

@@ -82,12 +82,14 @@ const (
 	// field in non-object errors.
 	OpGetField
 	// OpGetFieldDyn: like OpGetField but the index is resolved from
-	// Names[D] at run time (charges CostFieldLookup).
+	// Names[D] at run time (charges CostFieldLookup), through the
+	// monomorphic cache FieldICs[C].
 	OpGetFieldDyn
 	// OpSetField: field C of object regs[A] = regs[B] (declared-type
 	// checked); the value stays in regs[B] as the expression result.
 	OpSetField
-	// OpSetFieldDyn: OpSetField with run-time index resolution.
+	// OpSetFieldDyn: OpSetField with run-time index resolution, cached
+	// like OpGetFieldDyn's in FieldICs[C].
 	OpSetFieldDyn
 	// OpNew: regs[A] = new Classes[B] with the C..C+D-1 register window
 	// as leading field values; remaining fields run their compiled
@@ -253,6 +255,16 @@ type FieldOpRef struct {
 	Op   ir.BinOp
 }
 
+// FieldIC is the monomorphic inline cache of one OpGetFieldDyn or
+// OpSetFieldDyn: the receiver class it last resolved the field name
+// for, and the slot the name has there. A class's field layout is
+// fixed, so a hit skips the by-name search; the instruction still
+// charges CostFieldLookup, as the tree tier does.
+type FieldIC struct {
+	class *hier.Class
+	slot  int
+}
+
 // VSelRef is the method of one OpVSelect.
 type VSelRef struct {
 	Site   *ir.CallSite
@@ -274,6 +286,7 @@ type Proc struct {
 	Statics  []StaticRef
 	VSels    []VSelRef
 	FieldOps []FieldOpRef
+	FieldICs []FieldIC
 	News     []NewRef
 	Closures []*ir.ClosureCode
 	Poss     []lang.Pos

@@ -207,6 +207,13 @@ func (c *compiler) konst(v interp.Value) int32 {
 	return idx
 }
 
+// fieldIC allocates the inline cache of one dynamic field access and
+// returns its FieldICs index.
+func (c *compiler) fieldIC() int32 {
+	c.p.FieldICs = append(c.p.FieldICs, FieldIC{})
+	return int32(len(c.p.FieldICs) - 1)
+}
+
 func (c *compiler) name(s string) int32 {
 	if c.nameIdx == nil {
 		c.nameIdx = map[string]int32{}
@@ -431,7 +438,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		if n.Slot >= 0 {
 			c.emit(OpGetField, dest, obj, int32(n.Slot), c.name(n.Name))
 		} else {
-			c.emit(OpGetFieldDyn, dest, obj, 0, c.name(n.Name))
+			c.emit(OpGetFieldDyn, dest, obj, c.fieldIC(), c.name(n.Name))
 		}
 		c.restore(mark)
 
@@ -444,7 +451,7 @@ func (c *compiler) into(n ir.Node, dest int32) {
 		if n.Slot >= 0 {
 			c.emit(OpSetField, obj, dest, int32(n.Slot), c.name(n.Name))
 		} else {
-			c.emit(OpSetFieldDyn, obj, dest, 0, c.name(n.Name))
+			c.emit(OpSetFieldDyn, obj, dest, c.fieldIC(), c.name(n.Name))
 		}
 		c.restore(mark)
 

@@ -214,6 +214,17 @@ func vmFailAt(pos lang.Pos, format string, args ...any) {
 	panic(&interp.RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
+// fill points the cache at cls, the miss path of a dynamic field
+// access: a class without the field fails with the tree tier's error
+// text.
+func (ic *FieldIC) fill(cls *hier.Class, name string) {
+	idx := cls.FieldIndex(name)
+	if idx < 0 {
+		vmFail("class %s has no field %q", cls.Name, name)
+	}
+	ic.class, ic.slot = cls, idx
+}
+
 // Run initializes globals and invokes main(); it returns main's value.
 // The boundary mirrors interp.Run exactly: Mini-Cecil runtime errors
 // (including guard trips) come back as *interp.RuntimeError, a stray
@@ -625,11 +636,11 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				vmFail("field %q read on non-object %s", name, obj)
 			}
 			cyc += interp.CostFieldLookup
-			idx := obj.O.Class.FieldIndex(name)
-			if idx < 0 {
-				vmFail("class %s has no field %q", obj.O.Class.Name, name)
+			ic := &p.FieldICs[i.C]
+			if ic.class != obj.O.Class {
+				ic.fill(obj.O.Class, name)
 			}
-			regs[i.A] = obj.O.Fields[idx]
+			regs[i.A] = obj.O.Fields[ic.slot]
 
 		case OpSetField:
 			obj := regs[i.A]
@@ -649,10 +660,11 @@ func (m *Machine) exec(p *Proc, regs []interp.Value, up *interp.Frame, act *inte
 				vmFail("field %q written on non-object %s", name, obj)
 			}
 			cyc += interp.CostFieldLookup
-			idx := obj.O.Class.FieldIndex(name)
-			if idx < 0 {
-				vmFail("class %s has no field %q", obj.O.Class.Name, name)
+			ic := &p.FieldICs[i.C]
+			if ic.class != obj.O.Class {
+				ic.fill(obj.O.Class, name)
 			}
+			idx := ic.slot
 			in.CheckFieldType(obj.O.Class, idx, v)
 			obj.O.Fields[idx] = v
 

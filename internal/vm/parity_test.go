@@ -91,6 +91,49 @@ method main() { probe(new P()); }
 	wantSameError(t, "fused field read", te, ve)
 }
 
+// TestFieldCacheParity sends receivers of two classes that hold the
+// field at different slots through the same dynamic field read and
+// write, so each instruction's field cache misses and refills on every
+// alternation; a class without the field must then fail as in the tree
+// tier.
+func TestFieldCacheParity(t *testing.T) {
+	const classes = `
+class A { field a := 1; field n := 10; }
+class B { field n := 20; }
+class C { }
+method get(x) { x.n; }
+method put(x, v) { x.n := v; }
+method pick(flip) { if flip { new A(); } else { new B(); } }
+`
+	tv, te, vv, ve := runBoth(t, classes+`
+method main() {
+  var i := 0;
+  var acc := 0;
+  var flip := true;
+  while i < 6 {
+    var o := pick(flip);
+    acc := acc * 3 + get(o);
+    put(o, i);
+    acc := acc + get(o);
+    flip := !flip;
+    i := i + 1;
+  }
+  acc;
+}
+`, 0, 0)
+	wantSameError(t, "alternating receivers", te, ve)
+	if te != nil || tv != vv {
+		t.Fatalf("alternating receivers: tree %q (%v), vm %q (%v)", tv, te, vv, ve)
+	}
+	_, te, _, ve = runBoth(t, classes+`
+method main() { get(pick(true)) + get(pick(false)) + get(new C()); }
+`, 0, 0)
+	if te == nil {
+		t.Fatal("expected a missing-field error")
+	}
+	wantSameError(t, "missing field", te, ve)
+}
+
 // TestFusedArrayErrorParity drives out-of-bounds reads and writes
 // through OpAGet/OpAPut's cold path (the shared CallPrim seam).
 func TestFusedArrayErrorParity(t *testing.T) {

@@ -249,6 +249,9 @@ func verifyProc(pi vm.ProcInfo, numSites, numGlobals int) error {
 			if err := pool(pc, "name", i.D, len(p.Names)); err != nil {
 				return err
 			}
+			if err := pool(pc, "field cache", i.C, len(p.FieldICs)); err != nil {
+				return err
+			}
 
 		case vm.OpNew:
 			if err := pool(pc, "class (News)", i.B, len(p.News)); err != nil {

@@ -66,7 +66,8 @@ func buildMachine(t *testing.T, src string, cfg opt.Config) *vm.Machine {
 }
 
 // mutSrc exercises every side table the verifier guards: call sites,
-// static calls, field ops, constants, classes, closures, globals. The
+// static calls, field ops, field caches, constants, classes, closures,
+// globals. The
 // methods are kept polymorphic and the closure loop-bearing so the
 // inliner cannot erase the sends and closure ops the mutation cases
 // need to corrupt.
@@ -77,6 +78,7 @@ class Q isa P { }
 method bump(p@P, k) { p.n := p.n + k; if p.n > 100 { p.n := 0; } p.n; }
 method bump(q@Q, k) { q.n := q.n + k + 1; if q.n > 100 { q.n := 0; } q.n; }
 method pick(i) { if i < 1 { new P(); } else { new Q(); } }
+method size(x) { x.n; }
 method main() {
   var i := 0;
   var acc := 0;
@@ -85,7 +87,7 @@ method main() {
   var xs := newarray(4);
   while i < lim {
     var o := pick(i);
-    acc := acc + bump(o, i);
+    acc := acc + bump(o, i) + size(o);
     var f := aget(fs, 0);
     aput(xs, i, f(acc));
     i := i + 1;
@@ -149,6 +151,10 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			p, pc := findOp(t, m, vm.OpFieldBin)
 			p.Code[pc].D = int32(len(p.FieldOps)) + 1
 		}, "field op index"},
+		{"field cache oob", func(t *testing.T, m *vm.Machine) {
+			p, pc := findOp(t, m, vm.OpGetFieldDyn)
+			p.Code[pc].C = int32(len(p.FieldICs))
+		}, "field cache index"},
 		{"class table oob", func(t *testing.T, m *vm.Machine) {
 			p, pc := findOp(t, m, vm.OpNew)
 			p.Code[pc].B = int32(len(p.News))
